@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
-"""Gate bench_des_core results against a committed baseline.
+"""Gate google-benchmark results against a committed baseline.
 
 Usage:
     compare_bench.py BASELINE.json CURRENT.json [--tolerance 0.25]
 
-Both files are google-benchmark JSON (--benchmark_out=...
---benchmark_out_format=json). Every benchmark rate is normalized by the
-BM_CalibrationSpin rate measured in the *same* file, so absolute machine
-speed cancels out and slow CI runners agree with fast workstations. The
-gate fails only when a normalized rate drops more than --tolerance below
-the baseline; improvements never fail.
+CI runs it on three benches, each against its own baseline in
+bench/baselines/: bench_des_core (des_core.json), bench_parallel
+(parallel.json) and bench_fault (fault.json). Both files are
+google-benchmark JSON (--benchmark_out=... --benchmark_out_format=json).
+
+The compared rate is each benchmark's items_per_second, which these
+benches report as events (or queue operations) per second, divided by
+the BM_CalibrationSpin rate measured in the *same* file, so absolute
+machine speed cancels out and slow CI runners agree with fast
+workstations. It is not work-normalized: a change that does the same
+simulated work in fewer or more events moves it. For end-to-end,
+work-normalized numbers (flit-hops/s, ticks/s, wall time, peak RSS) use
+bench_e2e/run.py and bench_e2e/compare.py. The gate fails only when a
+normalized rate drops more than --tolerance below the baseline;
+improvements never fail.
 
 To re-baseline after an intentional engine change, see README.md
 ("Performance regression gate").

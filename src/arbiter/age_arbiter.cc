@@ -13,15 +13,23 @@ AgeArbiter::AgeArbiter(Simulator* simulator, const std::string& name,
 std::uint32_t
 AgeArbiter::select()
 {
+    // Oldest requester; among equals, the first at or after next_ in
+    // round-robin order.
     std::uint32_t winner = kNone;
     std::uint64_t best = ~std::uint64_t{0};
-    for (std::uint32_t i = 0; i < size_; ++i) {
-        std::uint32_t client = (next_ + i) % size_;
-        if (requests_[client] && (winner == kNone ||
-                                  metadata_[client] < best)) {
-            winner = client;
+    auto consider = [&](std::size_t client) {
+        if (winner == kNone || metadata_[client] < best) {
+            winner = static_cast<std::uint32_t>(client);
             best = metadata_[client];
         }
+    };
+    for (std::size_t c = requests_.next(next_); c < size_;
+         c = requests_.next(c + 1)) {
+        consider(c);
+    }
+    for (std::size_t c = requests_.next(0); c < next_;
+         c = requests_.next(c + 1)) {
+        consider(c);
     }
     return winner;
 }

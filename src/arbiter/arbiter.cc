@@ -4,10 +4,9 @@ namespace ss {
 
 Arbiter::Arbiter(Simulator* simulator, const std::string& name,
                  const Component* parent, std::uint32_t size)
-    : Component(simulator, name, parent), size_(size)
+    : Component(simulator, name, parent), size_(size), requests_(size)
 {
     checkUser(size > 0, "arbiter size must be > 0");
-    requests_.resize(size, false);
     metadata_.resize(size, 0);
 }
 
@@ -15,8 +14,8 @@ void
 Arbiter::request(std::uint32_t client, std::uint64_t metadata)
 {
     checkSim(client < size_, "arbiter request out of range");
-    if (!requests_[client]) {
-        requests_[client] = true;
+    if (!requests_.test(client)) {
+        requests_.set(client);
         ++numRequests_;
     }
     metadata_[client] = metadata;
@@ -26,8 +25,8 @@ void
 Arbiter::cancel(std::uint32_t client)
 {
     checkSim(client < size_, "arbiter cancel out of range");
-    if (requests_[client]) {
-        requests_[client] = false;
+    if (requests_.test(client)) {
+        requests_.reset(client);
         --numRequests_;
     }
 }
@@ -36,18 +35,19 @@ bool
 Arbiter::requesting(std::uint32_t client) const
 {
     checkSim(client < size_, "arbiter query out of range");
-    return requests_[client];
+    return requests_.test(client);
 }
 
 std::uint32_t
 Arbiter::arbitrate()
 {
-    std::uint32_t winner = numRequests_ == 0 ? kNone : select();
-    if (winner != kNone) {
-        checkSim(winner < size_ && requests_[winner],
-                 "arbiter selected a non-requesting client");
+    if (numRequests_ == 0) {
+        return kNone;
     }
-    std::fill(requests_.begin(), requests_.end(), false);
+    std::uint32_t winner = select();
+    checkSim(winner < size_ && requests_.test(winner),
+             "arbiter selected a non-requesting client");
+    requests_.clear();
     numRequests_ = 0;
     return winner;
 }

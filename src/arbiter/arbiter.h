@@ -8,6 +8,9 @@
  * requests. grant() tells stateful policies (round-robin, LRU) that the
  * winner actually used its grant — schedulers may withhold this when a
  * grant goes unused so fairness state doesn't advance spuriously.
+ *
+ * Requests live in a Bitmask, so policies find requesters by bit scan
+ * and an arbitrate() with no requests costs one comparison.
  */
 #ifndef SS_ARBITER_ARBITER_H_
 #define SS_ARBITER_ARBITER_H_
@@ -18,6 +21,7 @@
 #include "core/component.h"
 #include "factory/factory.h"
 #include "json/json.h"
+#include "types/bitmask.h"
 
 namespace ss {
 
@@ -56,12 +60,13 @@ class Arbiter : public Component {
     virtual void grant(std::uint32_t winner);
 
   protected:
-    /** Policy hook: select a winner; requests_[i] / metadata_[i] are
-     *  valid for requesting clients. */
+    /** Policy hook: select a winner among the members of requests_
+     *  (called only when there is at least one); metadata_[i] is valid
+     *  for requesting clients. */
     virtual std::uint32_t select() = 0;
 
     std::uint32_t size_;
-    std::vector<bool> requests_;
+    Bitmask requests_;
     std::vector<std::uint64_t> metadata_;
     std::uint32_t numRequests_ = 0;
 };

@@ -17,7 +17,7 @@ std::uint32_t
 LruArbiter::select()
 {
     for (std::uint32_t client : order_) {
-        if (requests_[client]) {
+        if (requests_.test(client)) {
             return client;
         }
     }

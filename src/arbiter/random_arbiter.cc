@@ -13,16 +13,9 @@ RandomArbiter::RandomArbiter(Simulator* simulator, const std::string& name,
 std::uint32_t
 RandomArbiter::select()
 {
+    // Uniform over requesters: the pick-th one in index order.
     std::uint64_t pick = random().nextU64(numRequests_);
-    for (std::uint32_t i = 0; i < size_; ++i) {
-        if (requests_[i]) {
-            if (pick == 0) {
-                return i;
-            }
-            --pick;
-        }
-    }
-    return kNone;
+    return static_cast<std::uint32_t>(requests_.nth(pick));
 }
 
 SS_REGISTER(ArbiterFactory, "random", RandomArbiter);

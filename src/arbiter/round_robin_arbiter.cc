@@ -15,13 +15,12 @@ RoundRobinArbiter::RoundRobinArbiter(Simulator* simulator,
 std::uint32_t
 RoundRobinArbiter::select()
 {
-    for (std::uint32_t i = 0; i < size_; ++i) {
-        std::uint32_t client = (next_ + i) % size_;
-        if (requests_[client]) {
-            return client;
-        }
+    // First requester at or after next_, wrapping around.
+    std::size_t client = requests_.next(next_);
+    if (client == size_) {
+        client = requests_.next(0);
     }
-    return kNone;
+    return static_cast<std::uint32_t>(client);
 }
 
 void

@@ -1,5 +1,7 @@
 #include "router/input_queued_router.h"
 
+#include <algorithm>
+
 #include "json/settings.h"
 #include "network/network.h"
 #include "types/message.h"
@@ -78,6 +80,11 @@ InputQueuedRouter::InputQueuedRouter(
     inputs_.resize(slots);
     outputVcAllocated_.resize(slots, false);
     outputState_.resize(numPorts_);
+    work_.waiting = Bitmask(slots);
+    work_.active = Bitmask(slots);
+    vcaRequested_ = Bitmask(slots);
+    saCandidates_.resize(slots);
+    saCandidateCounts_.resize(numPorts_);
 
     // Observability instruments exist only when the layer is enabled;
     // otherwise the cached pointers stay null and the pipeline pays one
@@ -89,11 +96,7 @@ InputQueuedRouter::InputQueuedRouter(
         saGrants_ = m.counter(fullName() + ".sa_grants");
         hopLatency_ = m.histogram(fullName() + ".hop_latency");
         m.polledGauge(fullName() + ".input_occupancy", [this]() {
-            std::size_t total = 0;
-            for (const auto& state : inputs_) {
-                total += state.buffer.size();
-            }
-            return static_cast<double>(total);
+            return static_cast<double>(work_.bufferedFlits);
         });
     }
     obs::TraceWriter* tw = simulator->traceWriter();
@@ -122,18 +125,36 @@ InputQueuedRouter::inputOccupancy(std::uint32_t port,
     return inputs_[iv(port, vc)].buffer.size();
 }
 
+InputQueuedRouter::AllocationState
+InputQueuedRouter::recomputeAllocationState() const
+{
+    AllocationState state{Bitmask(inputs_.size()), Bitmask(inputs_.size()),
+                          0};
+    for (std::size_t idx = 0; idx < inputs_.size(); ++idx) {
+        const InputVc& input = inputs_[idx];
+        state.bufferedFlits += input.buffer.size();
+        if (!input.buffer.empty()) {
+            (input.allocated ? state.active : state.waiting).set(idx);
+        }
+    }
+    return state;
+}
+
 void
 InputQueuedRouter::receiveFlit(std::uint32_t port, Flit* flit)
 {
     checkSim(port < numPorts_, "flit port out of range");
     std::uint32_t vc = flit->vc();
     checkSim(vc < numVcs_, "flit vc out of range");
-    InputVc& state = inputs_[iv(port, vc)];
+    std::size_t idx = iv(port, vc);
+    InputVc& state = inputs_[idx];
     // Buffers never silently overrun (§IV-D).
     checkSim(state.buffer.size() < inputBufferSize_,
              fullName(), ": input buffer overrun on port ", port, " vc ",
              vc);
     state.buffer.push_back(flit);
+    ++work_.bufferedFlits;
+    (state.allocated ? work_.active : work_.waiting).set(idx);
     if (activity_) {
         ++activity_->bufferWrites;
     }
@@ -169,105 +190,90 @@ InputQueuedRouter::processPipeline()
     runSwitchAllocation();
 
     // Conservative rescheduling: any buffered flit means work may remain.
-    for (const auto& state : inputs_) {
-        if (!state.buffer.empty()) {
-            activate();
-            break;
-        }
+    if (work_.bufferedFlits > 0) {
+        activate();
     }
 }
 
 void
 InputQueuedRouter::runVcAllocation()
 {
-    // Stage 1: each unallocated input VC with a routed head picks its
-    // preferred available option (most free space, random tiebreak).
-    std::vector<std::uint32_t> preferred(inputs_.size(), Arbiter::kNone);
-    bool any = false;
-    for (std::uint32_t port = 0; port < numPorts_; ++port) {
-        for (std::uint32_t vc = 0; vc < numVcs_; ++vc) {
-            InputVc& state = inputs_[iv(port, vc)];
-            if (state.allocated || state.buffer.empty()) {
+    // Stage 1: each waiting input VC, in ascending (port, VC) order (the
+    // order of the tiebreak draws), routes its head if needed and
+    // requests its preferred available option (most free space, random
+    // tiebreak); metadata is the packet's injection tick for age-based
+    // policies.
+    work_.waiting.forEach([this](std::size_t idx) {
+        InputVc& state = inputs_[idx];
+        std::uint32_t port = static_cast<std::uint32_t>(idx / numVcs_);
+        std::uint32_t vc = static_cast<std::uint32_t>(idx % numVcs_);
+        Flit* front = state.buffer.front();
+        // A body flit can never surface in an unallocated input VC: its
+        // head acquired the output VC and only the tail releases it
+        // (§IV-D ordering invariant).
+        checkSim(front->isHead(),
+                 "body flit at head of unallocated input VC: ", "router ",
+                 id_, " port ", port, " vc ", vc, " flit ", front->id(),
+                 " pkt ", front->packet()->id(), " msg ",
+                 front->packet()->message()->id(), " tick ", now().tick);
+        if (!state.routed) {
+            routeCheck(port, vc, front->packet(), &state.options);
+            state.routed = true;
+        }
+        // Pick among unallocated options.
+        std::uint32_t best = Arbiter::kNone;
+        std::uint32_t best_space = 0;
+        std::uint32_t ties = 0;
+        for (std::uint32_t i = 0; i < state.options.size(); ++i) {
+            const auto& opt = state.options[i];
+            if (outputVcAllocated_[iv(opt.port, opt.vc)]) {
                 continue;
             }
-            Flit* front = state.buffer.front();
-            // A body flit can never surface in an unallocated input VC:
-            // its head acquired the output VC and only the tail releases
-            // it (§IV-D ordering invariant).
-            checkSim(front->isHead(),
-                     "body flit at head of unallocated input VC: ",
-                     "router ", id_, " port ", port, " vc ", vc,
-                     " flit ", front->id(), " pkt ",
-                     front->packet()->id(), " msg ",
-                     front->packet()->message()->id(), " tick ",
-                     now().tick);
-            if (!state.routed) {
-                routeCheck(port, vc, front->packet(), &state.options);
-                state.routed = true;
-            }
-            // Pick among unallocated options.
-            std::uint32_t best = Arbiter::kNone;
-            std::uint32_t best_space = 0;
-            std::uint32_t ties = 0;
-            for (std::uint32_t i = 0; i < state.options.size(); ++i) {
-                const auto& opt = state.options[i];
-                if (outputVcAllocated_[iv(opt.port, opt.vc)]) {
-                    continue;
-                }
-                std::uint32_t space = spaceCount(opt.port, opt.vc);
-                if (best == Arbiter::kNone || space > best_space) {
+            std::uint32_t space = spaceCount(opt.port, opt.vc);
+            if (best == Arbiter::kNone || space > best_space) {
+                best = i;
+                best_space = space;
+                ties = 1;
+            } else if (space == best_space) {
+                // Reservoir-sample among equals for fairness.
+                ++ties;
+                if (random().nextU64(ties) == 0) {
                     best = i;
-                    best_space = space;
-                    ties = 1;
-                } else if (space == best_space) {
-                    // Reservoir-sample among equals for fairness.
-                    ++ties;
-                    if (random().nextU64(ties) == 0) {
-                        best = i;
-                    }
                 }
             }
-            if (best != Arbiter::kNone) {
-                preferred[iv(port, vc)] = best;
-                any = true;
-            }
         }
-    }
-    if (!any) {
-        return;
-    }
-    // Stage 2: each (output port, VC) resource grants one requester;
-    // metadata is the packet's injection tick for age-based policies.
-    for (std::uint32_t idx = 0; idx < inputs_.size(); ++idx) {
-        if (preferred[idx] == Arbiter::kNone) {
-            continue;
+        if (best != Arbiter::kNone) {
+            const auto& opt = state.options[best];
+            std::size_t resource = iv(opt.port, opt.vc);
+            vcaArbiters_[resource]->request(
+                static_cast<std::uint32_t>(idx),
+                front->packet()->injectTime().tick);
+            vcaRequested_.set(resource);
         }
-        const auto& opt = inputs_[idx].options[preferred[idx]];
-        vcaArbiters_[iv(opt.port, opt.vc)]->request(
-            static_cast<std::uint32_t>(idx),
-            inputs_[idx].buffer.front()->packet()->injectTime().tick);
-    }
-    for (std::uint32_t o = 0; o < numPorts_; ++o) {
-        for (std::uint32_t v = 0; v < numVcs_; ++v) {
-            Arbiter* arb = vcaArbiters_[iv(o, v)].get();
-            std::uint32_t winner = arb->arbitrate();
-            if (winner == Arbiter::kNone) {
-                continue;
-            }
-            arb->grant(winner);
-            if (vcaGrants_) {
-                vcaGrants_->inc();
-            }
-            if (activity_) {
-                ++activity_->arbitrations;
-            }
-            InputVc& state = inputs_[winner];
-            state.allocated = true;
-            state.outPort = o;
-            state.outVc = v;
-            outputVcAllocated_[iv(o, v)] = true;
+    });
+    // Stage 2: each requested (output port, VC) resource grants one
+    // requester, in ascending order. Unrequested resources are skipped:
+    // arbitrating them would return kNone without touching policy state
+    // or the RNG.
+    vcaRequested_.forEach([this](std::size_t resource) {
+        Arbiter* arb = vcaArbiters_[resource].get();
+        std::uint32_t winner = arb->arbitrate();
+        arb->grant(winner);
+        if (vcaGrants_) {
+            vcaGrants_->inc();
         }
-    }
+        if (activity_) {
+            ++activity_->arbitrations;
+        }
+        InputVc& state = inputs_[winner];
+        state.allocated = true;
+        state.outPort = static_cast<std::uint32_t>(resource / numVcs_);
+        state.outVc = static_cast<std::uint32_t>(resource % numVcs_);
+        outputVcAllocated_[resource] = true;
+        work_.waiting.reset(winner);
+        work_.active.set(winner);
+    });
+    vcaRequested_.clear();
 }
 
 bool
@@ -301,13 +307,33 @@ void
 InputQueuedRouter::runSwitchAllocation()
 {
     Tick tick = now().tick;
+    // Group the active input VCs by output, each output's in ascending
+    // input order. An output VC is held by at most one input VC, so an
+    // output has at most numVcs_ candidates.
+    std::fill(saCandidateCounts_.begin(), saCandidateCounts_.end(), 0);
+    work_.active.forEach([this](std::size_t idx) {
+        std::uint32_t o = inputs_[idx].outPort;
+        std::uint32_t& count = saCandidateCounts_[o];
+        checkSim(count < numVcs_, "output ", o, " has more allocated ",
+                 "input VCs than VCs");
+        saCandidates_[iv(o, count++)] = static_cast<std::uint32_t>(idx);
+    });
     for (std::uint32_t o = 0; o < numPorts_; ++o) {
         OutputPortState& out = outputState_[o];
+        std::uint32_t num_candidates = saCandidateCounts_[o];
+        // Outputs can change state here only by granting a candidate or,
+        // under WTA, by releasing a lock; the rest are skipped.
+        bool wta_locked =
+            flowControl_ == FlowControl::kWinnerTakeAll && out.locked;
+        if (num_candidates == 0 && !wta_locked) {
+            continue;
+        }
         if (!outputReady(o, tick)) {
             continue;
         }
-        // WTA: a stalled lock holder releases the output (paper §VI-C).
-        if (flowControl_ == FlowControl::kWinnerTakeAll && out.locked) {
+        // WTA: a stalled lock holder releases the output (paper §VI-C),
+        // even when no other input VC competes for it.
+        if (wta_locked) {
             const InputVc& holder = inputs_[out.holder];
             bool holder_can_go = !holder.buffer.empty() &&
                                  hasSpace(holder.outPort, holder.outVc);
@@ -318,20 +344,16 @@ InputQueuedRouter::runSwitchAllocation()
         // Gather eligible competitors.
         Arbiter* arb = saArbiters_[o].get();
         bool any = false;
-        for (std::uint32_t idx = 0; idx < inputs_.size(); ++idx) {
+        for (std::uint32_t k = 0; k < num_candidates; ++k) {
+            std::uint32_t idx = saCandidates_[iv(o, k)];
             const InputVc& state = inputs_[idx];
-            if (!state.allocated || state.outPort != o ||
-                state.buffer.empty()) {
-                continue;
-            }
-            if (!fcEligible(static_cast<std::uint32_t>(idx), state)) {
+            if (!fcEligible(idx, state)) {
                 continue;
             }
             // Age metadata: injection tick of the packet (older wins
             // under the "age" arbiter policy).
-            arb->request(static_cast<std::uint32_t>(idx),
-                         state.buffer.front()->packet()
-                             ->injectTime().tick);
+            arb->request(idx,
+                         state.buffer.front()->packet()->injectTime().tick);
             any = true;
         }
         if (!any) {
@@ -346,6 +368,7 @@ InputQueuedRouter::runSwitchAllocation()
         InputVc& state = inputs_[winner];
         Flit* flit = state.buffer.front();
         state.buffer.pop_front();
+        --work_.bufferedFlits;
         if (activity_) {
             ++activity_->arbitrations;
             ++activity_->bufferReads;
@@ -391,6 +414,12 @@ InputQueuedRouter::runSwitchAllocation()
             state.allocated = false;
             state.routed = false;
             state.options.clear();
+            work_.active.reset(winner);
+            if (!state.buffer.empty()) {
+                work_.waiting.set(winner);
+            }
+        } else if (state.buffer.empty()) {
+            work_.active.reset(winner);
         }
     }
 }

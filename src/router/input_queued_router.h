@@ -18,6 +18,11 @@
  *  - winner_take_all (WTA): locks like PB but starts without the
  *    full-space guarantee; a credit stall releases the lock so other
  *    packets with credits can take over.
+ *
+ * Allocation cost is proportional to the input VCs that have work: two
+ * incrementally maintained bitmasks hold the input VCs waiting for an
+ * output VC and those holding one with a flit buffered, and only their
+ * members are visited (DESIGN.md §12 states the invariants).
  */
 #ifndef SS_ROUTER_INPUT_QUEUED_ROUTER_H_
 #define SS_ROUTER_INPUT_QUEUED_ROUTER_H_
@@ -30,6 +35,7 @@
 #include "network/router.h"
 #include "obs/metrics.h"
 #include "obs/trace_writer.h"
+#include "types/bitmask.h"
 
 namespace ss {
 
@@ -59,6 +65,21 @@ class InputQueuedRouter : public Router {
 
     /** Occupancy of an input buffer (tests/instrumentation). */
     std::size_t inputOccupancy(std::uint32_t port, std::uint32_t vc) const;
+
+    /** The allocation work sets, indexed like the input VCs
+     *  (port * numVcs + vc). */
+    struct AllocationState {
+        Bitmask waiting;  ///< unallocated input VCs with a buffered flit
+        Bitmask active;   ///< allocated input VCs with a buffered flit
+        std::size_t bufferedFlits = 0;  ///< flits in all input buffers
+
+        bool operator==(const AllocationState&) const = default;
+    };
+    /** The incrementally maintained work sets (tests). */
+    const AllocationState& allocationState() const { return work_; }
+    /** The same sets recomputed from every input VC (tests check that
+     *  the two always agree). */
+    AllocationState recomputeAllocationState() const;
 
     // ----- FlitReceiver -----
     void receiveFlit(std::uint32_t port, Flit* flit) override;
@@ -112,6 +133,12 @@ class InputQueuedRouter : public Router {
     std::vector<OutputPortState> outputState_;  // [port]
     std::vector<std::unique_ptr<Arbiter>> vcaArbiters_;  // per (o,v)
     std::vector<std::unique_ptr<Arbiter>> saArbiters_;   // per output port
+
+    AllocationState work_;  // maintained incrementally
+    // Per-evaluation scratch, sized once at construction.
+    Bitmask vcaRequested_;         // (o,v) resources requested this cycle
+    std::vector<std::uint32_t> saCandidates_;  // [o*numVcs+k]: input VCs
+    std::vector<std::uint32_t> saCandidateCounts_;  // [o]
     InlineEvent<InputQueuedRouter> pipelineEvent_;
 
     // Observability. All pointers are nullptr when observability is

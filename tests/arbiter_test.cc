@@ -2,8 +2,12 @@
  *  by every policy. */
 #include <gtest/gtest.h>
 
+#include <list>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "arbiter/arbiter.h"
 #include "core/simulator.h"
@@ -198,6 +202,182 @@ TEST(RandomArbiter, AllContendersWinEventually)
         EXPECT_LT(w, 650);
     }
 }
+
+// ----- equivalence with the O(size) reference loops -----
+
+/** The scan-every-client selection loops the bit-scan policies replaced,
+ *  kept verbatim as the reference they must match: same winners, same
+ *  RNG draws, same fairness state after grants. */
+class ReferenceArbiter {
+  public:
+    ReferenceArbiter(std::string policy, std::uint32_t size,
+                     std::uint64_t seed)
+        : policy_(std::move(policy)), size_(size), requests_(size, false),
+          metadata_(size, 0), random_(seed)
+    {
+        for (std::uint32_t i = 0; i < size; ++i) {
+            order_.push_back(i);
+        }
+    }
+
+    void
+    request(std::uint32_t client, std::uint64_t metadata)
+    {
+        if (!requests_[client]) {
+            requests_[client] = true;
+            ++numRequests_;
+        }
+        metadata_[client] = metadata;
+    }
+
+    void
+    cancel(std::uint32_t client)
+    {
+        if (requests_[client]) {
+            requests_[client] = false;
+            --numRequests_;
+        }
+    }
+
+    std::uint32_t numRequests() const { return numRequests_; }
+
+    std::uint32_t
+    arbitrate()
+    {
+        std::uint32_t winner = numRequests_ == 0 ? Arbiter::kNone : select();
+        std::fill(requests_.begin(), requests_.end(), false);
+        numRequests_ = 0;
+        return winner;
+    }
+
+    void
+    grant(std::uint32_t winner)
+    {
+        if (policy_ == "round_robin" || policy_ == "age") {
+            next_ = (winner + 1) % size_;
+        } else if (policy_ == "lru") {
+            order_.remove(winner);
+            order_.push_back(winner);
+        }
+    }
+
+    Random& random() { return random_; }
+
+  private:
+    std::uint32_t
+    select()
+    {
+        if (policy_ == "round_robin") {
+            for (std::uint32_t i = 0; i < size_; ++i) {
+                std::uint32_t client = (next_ + i) % size_;
+                if (requests_[client]) {
+                    return client;
+                }
+            }
+        } else if (policy_ == "age") {
+            std::uint32_t winner = Arbiter::kNone;
+            std::uint64_t best = ~std::uint64_t{0};
+            for (std::uint32_t i = 0; i < size_; ++i) {
+                std::uint32_t client = (next_ + i) % size_;
+                if (requests_[client] && (winner == Arbiter::kNone ||
+                                          metadata_[client] < best)) {
+                    winner = client;
+                    best = metadata_[client];
+                }
+            }
+            return winner;
+        } else if (policy_ == "random") {
+            std::uint64_t pick = random_.nextU64(numRequests_);
+            for (std::uint32_t i = 0; i < size_; ++i) {
+                if (requests_[i]) {
+                    if (pick == 0) {
+                        return i;
+                    }
+                    --pick;
+                }
+            }
+        } else if (policy_ == "lru") {
+            for (std::uint32_t client : order_) {
+                if (requests_[client]) {
+                    return client;
+                }
+            }
+        } else if (policy_ == "fixed_priority") {
+            for (std::uint32_t i = 0; i < size_; ++i) {
+                if (requests_[i]) {
+                    return i;
+                }
+            }
+        }
+        return Arbiter::kNone;
+    }
+
+    std::string policy_;
+    std::uint32_t size_;
+    std::vector<bool> requests_;
+    std::vector<std::uint64_t> metadata_;
+    std::uint32_t numRequests_ = 0;
+    std::uint32_t next_ = 0;
+    std::list<std::uint32_t> order_;
+    Random random_;
+};
+
+class ArbiterEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
+};
+
+TEST_P(ArbiterEquivalenceTest, MatchesReferenceLoops)
+{
+    const auto& [policy, size] = GetParam();
+    Simulator sim(11);
+    auto arb = makeArbiter(&sim, policy, size);
+    ReferenceArbiter ref(policy, size, sim.componentSeed(arb->fullName()));
+    Random rng(size * 7919 + 5);
+    for (int round = 0; round < 3000; ++round) {
+        // Alternate sparse and dense request sets; narrow metadata makes
+        // age ties common.
+        double density = round % 3 == 0 ? 0.6 : 2.5 / size;
+        for (std::uint32_t c = 0; c < size; ++c) {
+            if (rng.nextBool(density)) {
+                std::uint64_t age = rng.nextU64(4);
+                arb->request(c, age);
+                ref.request(c, age);
+            }
+        }
+        // Cancels and re-requests (which overwrite metadata).
+        for (std::uint64_t ops = rng.nextU64(4); ops > 0; --ops) {
+            auto c = static_cast<std::uint32_t>(rng.nextU64(size));
+            if (rng.nextBool()) {
+                arb->cancel(c);
+                ref.cancel(c);
+            } else {
+                std::uint64_t age = rng.nextU64(4);
+                arb->request(c, age);
+                ref.request(c, age);
+            }
+        }
+        ASSERT_EQ(arb->numRequests(), ref.numRequests()) << "round " << round;
+        std::uint32_t winner = arb->arbitrate();
+        ASSERT_EQ(winner, ref.arbitrate()) << "round " << round;
+        ASSERT_EQ(arb->numRequests(), 0u);
+        // Some wins go ungranted, which must not advance fairness state.
+        if (winner != Arbiter::kNone && rng.nextBool(0.75)) {
+            arb->grant(winner);
+            ref.grant(winner);
+        }
+    }
+    // Both RNG streams were drawn the same number of times.
+    EXPECT_EQ(arb->random().nextU64(), ref.random().nextU64());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndSizes, ArbiterEquivalenceTest,
+    ::testing::Combine(::testing::Values("round_robin", "age", "random",
+                                         "lru", "fixed_priority"),
+                       ::testing::Values(1u, 5u, 63u, 64u, 65u, 92u, 130u)),
+    [](const auto& info) {
+        return strf(std::get<0>(info.param), "_", std::get<1>(info.param));
+    });
 
 TEST(Arbiter, InvalidSizeIsFatal)
 {

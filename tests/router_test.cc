@@ -2,7 +2,10 @@
  *  credit loops, buffer limits, OQ/IQ/IOQ specifics. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "json/settings.h"
+#include "router/input_queued_router.h"
 #include "sim/builder.h"
 #include "test_util.h"
 
@@ -179,6 +182,84 @@ TEST(Router, MultiPacketMessagesReassemble)
         EXPECT_EQ(s.packets, 3u);
     }
 }
+
+/** Once per tick, after every router's pipeline evaluation, compares
+ *  each IQ router's incrementally maintained allocation state with a
+ *  full recomputation from its input VCs. A background event, so it
+ *  never extends the run. */
+class AllocationStateProbe : public Event {
+  public:
+    explicit AllocationStateProbe(Simulation* simulation)
+        : simulation_(simulation)
+    {}
+
+    void
+    process() override
+    {
+        Network* network = simulation_->network();
+        for (std::uint32_t r = 0; r < network->numRouters(); ++r) {
+            const auto* router =
+                dynamic_cast<const InputQueuedRouter*>(network->router(r));
+            ASSERT_NE(router, nullptr);
+            const InputQueuedRouter::AllocationState& state =
+                router->allocationState();
+            if (!(state == router->recomputeAllocationState())) {
+                ++mismatches;
+            }
+            maxWaiting = std::max(maxWaiting, state.waiting.count());
+            maxActive = std::max(maxActive, state.active.count());
+        }
+        ++checks;
+        Simulator* simulator = simulation_->simulator();
+        simulator->schedule(
+            this, Time(simulator->now().tick + 1, eps::kControl), true);
+    }
+
+    std::uint64_t checks = 0;
+    std::uint64_t mismatches = 0;
+    std::size_t maxWaiting = 0;
+    std::size_t maxActive = 0;
+
+  private:
+    Simulation* simulation_;
+};
+
+class AllocationStateTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(AllocationStateTest, IncrementalStateMatchesRecomputation)
+{
+    // High contention: multi-packet messages near saturation through
+    // small buffers, so WTA lock holders stall and PB waits for space.
+    json::Value config = test::makeConfig(
+        strf(R"({"topology": "torus", "widths": [4, 4],
+                 "concentration": 2, "num_vcs": 4, "clock_period": 1,
+                 "channel_latency": 3,
+                 "router": {"architecture": "input_queued",
+                            "input_buffer_size": 6,
+                            "crossbar_scheduler": {
+                                "flow_control": ")",
+             GetParam(), R"("}},
+                 "routing": {"algorithm": "torus_dimension_order"}})"),
+        R"({"applications": [{
+            "type": "blast", "injection_rate": 0.36, "message_size": 8,
+            "max_packet_size": 4, "num_samples": 30,
+            "warmup_duration": 300,
+            "traffic": {"type": "uniform_random"}}]})");
+    Simulation simulation(config);
+    AllocationStateProbe probe(&simulation);
+    simulation.simulator()->schedule(&probe, Time(0, eps::kControl), true);
+    RunResult result = simulation.run();
+    EXPECT_FALSE(result.saturated);
+    EXPECT_GT(probe.checks, 1000u);
+    EXPECT_EQ(probe.mismatches, 0u);
+    // The sets were exercised, not trivially empty.
+    EXPECT_GE(probe.maxWaiting, 4u);
+    EXPECT_GE(probe.maxActive, 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FlowControls, AllocationStateTest,
+                         ::testing::Values("winner_take_all",
+                                           "packet_buffer"));
 
 TEST(Router, UnknownArchitectureIsFatal)
 {
